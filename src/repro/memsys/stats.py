@@ -22,6 +22,14 @@ class CacheStats:
         else:
             self.misses += 1
 
+    def add(self, hits: int, accesses: int) -> None:
+        """Record ``accesses`` accesses of which ``hits`` hit (bulk :meth:`record`)."""
+        if not 0 <= hits <= accesses:
+            raise ValueError(f"hits ({hits}) must lie in [0, accesses={accesses}]")
+        self.accesses += accesses
+        self.hits += hits
+        self.misses += accesses - hits
+
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return the element-wise sum of two counters."""
         return CacheStats(

@@ -401,6 +401,45 @@ class ShardedReplicaServer(ReplicaServer):
             return base
         return self._priced_sharded(base, batch_size, model)
 
+    def _probe_caches(
+        self,
+        drawn: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        gathered: np.ndarray,
+        shared_lines: Optional[np.ndarray],
+    ) -> None:
+        """Route one batch's lookups through the local and shared cache tiers.
+
+        ``drawn`` holds ``(tables, rows, owners)`` per table, in table
+        order.  Each shard's cache gets one lookup over its rows of every
+        table in table, then draw order: the reference stream that one
+        lookup per (table, shard) produced.  The local misses then probe
+        the shared tier in (table, shard) order, also in one lookup.
+        Adds host-gathered rows to ``gathered`` and shared-tier hits to
+        ``shared_lines``, per shard.
+        """
+        tables, rows, owners = (np.concatenate(column) for column in zip(*drawn))
+        num_shards = self.plan.num_shards
+        if self.caches is None:
+            miss = np.ones(rows.size, dtype=bool)
+        else:
+            miss = np.empty(rows.size, dtype=bool)
+            for shard, cache in enumerate(self.caches):
+                part = np.flatnonzero(owners == shard)
+                if part.size:
+                    miss[part] = ~cache.lookup(tables[part], rows[part])
+        if self.shared_cache is None:
+            gathered += np.bincount(owners[miss], minlength=num_shards)
+            return
+        # Local misses probe the shared tier next; its hits are fetched
+        # over the link instead of host-gathered.
+        order = np.argsort(tables * num_shards + owners, kind="stable")
+        order = order[miss[order]]
+        if order.size:
+            hits = self.shared_cache.lookup(tables[order], rows[order])
+            absorbed = np.bincount(owners[order[hits]], minlength=num_shards)
+            shared_lines += absorbed
+            gathered += np.bincount(owners[order], minlength=num_shards) - absorbed
+
     def _priced_sharded(
         self, base: InferenceResult, batch_size: int, model: DLRMConfig
     ) -> InferenceResult:
@@ -412,6 +451,8 @@ class ShardedReplicaServer(ReplicaServer):
         contributed_tables = np.zeros(num_shards, dtype=np.int64)
         shared = self.shared_cache
         shared_lines = np.zeros(num_shards, dtype=np.int64) if shared is not None else None
+        cached = self.caches is not None or shared is not None
+        drawn: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for table_index, table in enumerate(model.tables):
             count = batch_size * table.gathers
             if count == 0:
@@ -425,32 +466,12 @@ class ShardedReplicaServer(ReplicaServer):
             counts = np.bincount(owners, minlength=num_shards)
             owned += counts
             contributed_tables += counts > 0
-            if self.caches is None and shared is None:
+            if cached:
+                drawn.append((np.full(count, table_index), rows, owners))
+            else:
                 gathered += counts
-                continue
-            # One stable argsort groups each shard's rows contiguously in
-            # their original draw order, so every cache sees the identical
-            # reference stream the per-shard masking loop produced.
-            order = np.argsort(owners, kind="stable")
-            sorted_rows = rows[order]
-            ends = np.cumsum(counts)
-            for shard in np.nonzero(counts)[0]:
-                shard_rows = sorted_rows[ends[shard] - counts[shard] : ends[shard]]
-                if self.caches is not None:
-                    hits = self.caches[shard].lookup(table_index, shard_rows)
-                    if shared is None:
-                        gathered[shard] += len(shard_rows) - int(hits.sum())
-                        continue
-                    miss_rows = shard_rows[~hits]
-                else:
-                    miss_rows = shard_rows
-                if miss_rows.size:
-                    # Local misses probe the shared tier next; its hits
-                    # are fetched over the link instead of host-gathered.
-                    shared_hits = shared.lookup(table_index, miss_rows)
-                    absorbed = int(shared_hits.sum())
-                    shared_lines[shard] += absorbed
-                    gathered[shard] += miss_rows.size - absorbed
+        if cached and drawn:
+            self._probe_caches(drawn, gathered, shared_lines)
 
         total_lookups = int(owned.sum())
         emb_s = base.breakdown.get("EMB")

@@ -15,6 +15,25 @@ class TestCacheStats:
         assert stats.hit_rate == pytest.approx(1 / 3)
         assert stats.miss_rate == pytest.approx(2 / 3)
 
+    def test_add_equals_repeated_record(self):
+        outcomes = [True, False, True, True, False]
+        recorded = CacheStats()
+        for hit in outcomes:
+            recorded.record(hit)
+        added = CacheStats()
+        added.add(hits=2, accesses=3)
+        added.add(hits=1, accesses=2)
+        added.add(hits=0, accesses=0)
+        assert added == recorded
+        added.validate()
+
+    @pytest.mark.parametrize("hits, accesses", [(-1, 2), (3, 2)])
+    def test_add_rejects_impossible_counts(self, hits, accesses):
+        stats = CacheStats()
+        with pytest.raises(ValueError):
+            stats.add(hits, accesses)
+        assert stats == CacheStats()
+
     def test_empty_rates_are_zero(self):
         stats = CacheStats()
         assert stats.hit_rate == 0.0

@@ -303,3 +303,47 @@ class TestSpecParsing:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             parse_cache_spec(spec)
+
+
+class TestKeyBounds:
+    """Packed (table << 32 | row) keys must never alias silently."""
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu"])
+    @pytest.mark.parametrize("bad_row", [-1, 2**32, 2**40])
+    def test_lookup_rejects_unpackable_rows(self, policy, bad_row):
+        cache = EmbeddingCache(capacity_rows=4, policy=policy)
+        with pytest.raises(ConfigurationError, match=rf"row {bad_row} of table 3"):
+            cache.lookup(3, rows(1, bad_row, 2))
+        assert cache.stats.accesses == 0
+        assert len(cache) == 0
+
+    def test_lookup_names_the_table_of_the_offending_row(self):
+        cache = EmbeddingCache(capacity_rows=4)
+        with pytest.raises(ConfigurationError, match=r"row -5 of table 2"):
+            cache.lookup(np.array([0, 2]), rows(1, -5))
+
+    @pytest.mark.parametrize("method", ["invalidate", "refresh", "mark_stale"])
+    def test_freshness_calls_reject_unpackable_rows(self, method):
+        cache = EmbeddingCache(capacity_rows=4)
+        cache.lookup(0, rows(1))
+        with pytest.raises(ConfigurationError, match=rf"row {2**32} of table 0"):
+            getattr(cache, method)(0, rows(1, 2**32))
+
+    def test_largest_packable_row_is_its_own_key(self):
+        cache = EmbeddingCache(capacity_rows=4)
+        top = 2**32 - 1
+        cache.lookup(0, rows(top))
+        assert (0, top) in cache
+        assert (1, 0) not in cache  # would alias if the row spilled a bit
+        assert cache.lookup(1, rows(0)).tolist() == [False]
+
+    def test_negative_table_index_rejected(self):
+        with pytest.raises(ConfigurationError, match="table index -1"):
+            EmbeddingCache(capacity_rows=4).lookup(-1, rows(0))
+
+    def test_build_rejects_tables_too_large_to_pack(self):
+        model = homogeneous_dlrm(
+            name="cfg-huge", num_tables=2, rows_per_table=2**32, gathers_per_table=1
+        )
+        with pytest.raises(ConfigurationError, match="table 0 of model 'cfg-huge'"):
+            CacheConfig(capacity_rows=4).build(model)
