@@ -620,6 +620,8 @@ class _AutoscaleController:
         self.crash_events = 0
         self.restart_events = 0
         self._shed_sink = None
+        #: Latest time an incident snapshot billed replica-seconds through.
+        self._billed_through_s = 0.0
         self._arrivals_at_last_tick = 0
         self._busy_at_last_tick = 0.0
         if cluster.policy is not None:
@@ -666,6 +668,7 @@ class _AutoscaleController:
 
     def commissioned_seconds(self, now: float) -> float:
         """Replica-seconds billed up to ``now`` (incident cost snapshots)."""
+        self._billed_through_s = max(self._billed_through_s, now)
         return sum(
             lifecycle.commissioned_seconds(now) for lifecycle in self.lifecycles
         )
@@ -813,14 +816,22 @@ class _AutoscaleController:
 
         The stop time is the replica's actual last batch-finish (tracked by
         the server), not the tick that observed it, so replica-seconds are
-        exact rather than quantized to the control interval.
+        exact rather than quantized to the control interval.  It is never
+        earlier than the latest incident snapshot, which already billed the
+        open interval through its own time: billing stays monotone.
         """
         for index, lifecycle in enumerate(self.lifecycles):
             if lifecycle.state != _DRAINING:
                 continue
             replica = self.replicas[index]
             if replica.outstanding == 0 and not replica.has_pending:
-                lifecycle.stop(max(lifecycle.drain_marked_s, replica.last_finish_s))
+                lifecycle.stop(
+                    max(
+                        lifecycle.drain_marked_s,
+                        replica.last_finish_s,
+                        self._billed_through_s,
+                    )
+                )
 
     def _scale_up(self, count: int, now: float) -> None:
         # Reclaim draining replicas first: they are still warm, so

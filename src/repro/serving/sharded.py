@@ -453,23 +453,28 @@ class ShardedReplicaServer(ReplicaServer):
         shared_lines = np.zeros(num_shards, dtype=np.int64) if shared is not None else None
         cached = self.caches is not None or shared is not None
         drawn: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for table_index, table in enumerate(model.tables):
-            count = batch_size * table.gathers
-            if count == 0:
-                continue
-            rows = self.trace_model.draw(
-                self.trace_rng, table.num_rows, count, table_index
-            )
+        tables = model.tables
+        table_indices = [
+            index for index, table in enumerate(tables) if batch_size * table.gathers
+        ]
+        counts = [batch_size * tables[index].gathers for index in table_indices]
+        draws = self.trace_model.draw_tables(
+            self.trace_rng,
+            [tables[index].num_rows for index in table_indices],
+            counts,
+            table_indices,
+        )
+        for table_index, count, rows in zip(table_indices, counts, draws):
             owners = plan.owner_of(table_index, rows)
             if self._lost_shards:
                 owners = self._remap_owners(owners, rows)
-            counts = np.bincount(owners, minlength=num_shards)
-            owned += counts
-            contributed_tables += counts > 0
+            shard_counts = np.bincount(owners, minlength=num_shards)
+            owned += shard_counts
+            contributed_tables += shard_counts > 0
             if cached:
                 drawn.append((np.full(count, table_index), rows, owners))
             else:
-                gathered += counts
+                gathered += shard_counts
         if cached and drawn:
             self._probe_caches(drawn, gathered, shared_lines)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,16 +37,98 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
+def _mix_in_place(values: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer applied to ``values`` in place (uint64)."""
+    with np.errstate(over="ignore"):
+        np.right_shift(values, np.uint64(30), out=scratch)
+        values ^= scratch
+        values *= _MIX_A
+        np.right_shift(values, np.uint64(27), out=scratch)
+        values ^= scratch
+        values *= _MIX_B
+        np.right_shift(values, np.uint64(31), out=scratch)
+        values ^= scratch
+
+
 def _splitmix64(values: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 array."""
-    with np.errstate(over="ignore"):
-        values = values.copy()
-        values ^= values >> np.uint64(30)
-        values *= _MIX_A
-        values ^= values >> np.uint64(27)
-        values *= _MIX_B
-        values ^= values >> np.uint64(31)
+    values = values.copy()
+    _mix_in_place(values, np.empty_like(values))
     return values
+
+
+def _hash_offset(table_index: int, hash_seed: int) -> np.uint64:
+    """Per-(table, seed) offset added to row IDs before mixing."""
+    with np.errstate(over="ignore"):
+        return np.uint64(table_index + 1) * _GOLDEN + np.uint64(hash_seed) * _MIX_B
+
+
+#: Rows hashed per step when counting a whole table's owners: big enough
+#: to amortize numpy call overhead, small enough to stay cache-resident.
+_HASH_CHUNK_ROWS = 1 << 15
+
+#: Row-wise per-shard row counts are a pure function of (table sizes, hash
+#: seed, shard count) but cost O(total rows) to hash, and every deployment
+#: builds a fresh plan; so they are memoized process-wide, bounded FIFO.
+_ROW_COUNT_CACHE_CAP = 32
+_ROW_COUNT_CACHE: Dict[Tuple[Tuple[int, ...], int, int], np.ndarray] = {}
+
+
+def _cache_put(cache: Dict, key, value) -> None:
+    while len(cache) >= _ROW_COUNT_CACHE_CAP:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+
+
+def _table_row_counts(
+    table_index: int, num_rows: int, hash_seed: int, num_shards: int
+) -> np.ndarray:
+    """Rows of one table owned by each shard under the row-wise hash.
+
+    Exactly ``bincount(owner_of(table_index, arange(num_rows)))``, hashed
+    in fixed-size chunks through reused buffers.
+    """
+    counts = np.zeros(num_shards, dtype=np.int64)
+    if num_shards == 1:
+        counts[0] = num_rows
+        return counts
+    chunk = min(_HASH_CHUNK_ROWS, num_rows)
+    steps = np.arange(chunk, dtype=np.uint64)
+    keyed = np.empty(chunk, dtype=np.uint64)
+    scratch = np.empty(chunk, dtype=np.uint64)
+    offset = _hash_offset(table_index, hash_seed)
+    modulus = np.uint64(num_shards)
+    for start in range(0, num_rows, chunk):
+        size = min(chunk, num_rows - start)
+        part = keyed[:size]
+        with np.errstate(over="ignore"):
+            np.add(steps[:size], offset + np.uint64(start), out=part)
+        _mix_in_place(part, scratch[:size])
+        np.remainder(part, modulus, out=part)
+        counts += np.bincount(part.view(np.int64), minlength=num_shards)
+    return counts
+
+
+def _row_wise_counts(
+    num_rows: Sequence[int], hash_seed: int, num_shards: int
+) -> np.ndarray:
+    """Read-only ``(tables, shards)`` row counts of a row-wise hash plan.
+
+    Memoized on ``(num_rows, hash_seed, num_shards)``, the only inputs the
+    row-wise :meth:`ShardingPlan.owner_of` depends on.
+    """
+    key = (tuple(int(rows) for rows in num_rows), int(hash_seed), int(num_shards))
+    counts = _ROW_COUNT_CACHE.get(key)
+    if counts is None:
+        counts = np.array(
+            [
+                _table_row_counts(index, rows, hash_seed, num_shards)
+                for index, rows in enumerate(key[0])
+            ]
+        )
+        counts.flags.writeable = False
+        _cache_put(_ROW_COUNT_CACHE, key, counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -128,11 +210,7 @@ class ShardingPlan:
         if self.num_shards == 1:
             return np.zeros(rows.shape, dtype=np.int64)
         with np.errstate(over="ignore"):
-            keyed = (
-                rows.astype(np.uint64)
-                + np.uint64(table_index + 1) * _GOLDEN
-                + np.uint64(self.hash_seed) * _MIX_B
-            )
+            keyed = rows.astype(np.uint64) + _hash_offset(table_index, self.hash_seed)
         mixed = _splitmix64(keyed)
         return (mixed % np.uint64(self.num_shards)).astype(np.int64)
 
@@ -140,15 +218,16 @@ class ShardingPlan:
     def shard_bytes(self) -> Tuple[float, ...]:
         """Embedding bytes resident on each shard (exact, not estimated)."""
         totals = np.zeros(self.num_shards, dtype=np.float64)
-        for table_index, table in enumerate(self.model.tables):
-            if self.table_owner is not None:
-                totals[self.table_owner[table_index]] += table.table_bytes
-            else:
-                owners = self.owner_of(
-                    table_index, np.arange(table.num_rows, dtype=np.int64)
-                )
-                counts = np.bincount(owners, minlength=self.num_shards)
-                totals += counts * float(table.row_bytes)
+        tables = self.model.tables
+        if self.table_owner is not None:
+            for owner, table in zip(self.table_owner, tables):
+                totals[owner] += table.table_bytes
+        else:
+            counts = _row_wise_counts(
+                [table.num_rows for table in tables], self.hash_seed, self.num_shards
+            )
+            for table, table_counts in zip(tables, counts):
+                totals += table_counts * float(table.row_bytes)
         return tuple(float(value) for value in totals)
 
     @property

@@ -151,6 +151,23 @@ class TraceModel:
         """Draw ``count`` row IDs in ``[0, num_rows)`` as an int64 array."""
         raise NotImplementedError
 
+    def draw_tables(
+        self,
+        rng: np.random.Generator,
+        num_rows: Sequence[int],
+        counts: Sequence[int],
+        table_indices: Sequence[int],
+    ) -> List[np.ndarray]:
+        """Draw several tables' rows from one RNG, one array per table.
+
+        Exactly the per-table :meth:`draw` loop in the given order;
+        subclasses may batch the work but must return the same arrays.
+        """
+        return [
+            self.draw(rng, rows, count, table_index)
+            for rows, count, table_index in zip(num_rows, counts, table_indices)
+        ]
+
     def describe(self) -> str:
         return self.kind
 
@@ -203,9 +220,23 @@ class ZipfianTrace(TraceModel):
     def draw(self, rng, num_rows, count, table_index=None):
         cdf = self._cdf(num_rows)
         uniform = rng.random(count)
-        ranks = np.searchsorted(cdf, uniform, side="left")
+        # Searching sorted keys walks the CDF front to back instead of
+        # jumping around it; ties cannot change a search result, so the
+        # ranks scattered back are exactly the unsorted search's.
+        order = np.argsort(uniform)
+        ranks = np.searchsorted(cdf, uniform[order], side="left")
         permutation = _scatter_permutation(self.scatter_seed, num_rows)
-        return permutation[np.clip(ranks, 0, num_rows - 1)]
+        rows = np.empty(count, dtype=permutation.dtype)
+        rows[order] = permutation[np.clip(ranks, 0, num_rows - 1)]
+        return rows
+
+    def draw_tables(self, rng, num_rows, counts, table_indices):
+        # ``rng.random(a + b)`` is ``random(a)`` then ``random(b)``, so one
+        # draw over equally sized tables, split, equals the per-table loop.
+        if len(set(num_rows)) != 1:
+            return super().draw_tables(rng, num_rows, counts, table_indices)
+        rows = self.draw(rng, num_rows[0], int(sum(counts)))
+        return np.split(rows, np.cumsum(counts)[:-1])
 
     def describe(self) -> str:
         return f"zipf(alpha={self.alpha})"

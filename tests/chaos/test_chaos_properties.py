@@ -7,7 +7,7 @@ completed or counted as shed, and the incident report's ledger agrees
 with the stream outcome's.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import get_backend
 from repro.chaos import Brownout, FaultSchedule, PoissonFaults, ReplicaCrash
@@ -93,6 +93,15 @@ class TestConservation:
         elastic=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
+    # A drained replica reaped at its last finish, before the crash's
+    # opening snapshot, once billed this incident -0.0023 replica-seconds.
+    @example(
+        schedule=FaultSchedule(
+            [ReplicaCrash(at_s=0.0273438, on_inflight="redispatch")], sla_s=5e-3
+        ),
+        seed=0,
+        elastic=True,
+    )
     def test_arrivals_equal_completed_plus_shed(self, schedule, seed, elastic):
         cluster, report = run(schedule, seed, elastic)
         outcome = cluster.last_outcome

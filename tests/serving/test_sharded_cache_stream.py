@@ -37,27 +37,30 @@ def model():
 
 
 def record_run(monkeypatch, model, policy, shared_policy):
-    """Serve once, logging every trace draw and cache lookup per batch."""
+    """Serve once, logging every table's trace draw and cache lookup per batch."""
     batches = []
     original_price = ShardedReplicaServer._priced_sharded
-    original_draw = ZipfianTrace.draw
+    original_draw_tables = ZipfianTrace.draw_tables
     original_lookup = EmbeddingCache.lookup
 
     def price(self, *args, **kwargs):
         batches.append({"draws": [], "lookups": []})
         return original_price(self, *args, **kwargs)
 
-    def draw(self, rng, num_rows, count, table_index=None):
-        rows = original_draw(self, rng, num_rows, count, table_index)
-        batches[-1]["draws"].append((table_index, rows.copy()))
-        return rows
+    def draw_tables(self, rng, num_rows, counts, table_indices):
+        # One batched draw per batch, recorded per table in table order.
+        draws = original_draw_tables(self, rng, num_rows, counts, table_indices)
+        batches[-1]["draws"].extend(
+            (table_index, rows.copy()) for table_index, rows in zip(table_indices, draws)
+        )
+        return draws
 
     def lookup(self, table_index, rows):
         batches[-1]["lookups"].append(id(self))
         return original_lookup(self, table_index, rows)
 
     monkeypatch.setattr(ShardedReplicaServer, "_priced_sharded", price)
-    monkeypatch.setattr(ZipfianTrace, "draw", draw)
+    monkeypatch.setattr(ZipfianTrace, "draw_tables", draw_tables)
     monkeypatch.setattr(EmbeddingCache, "lookup", lookup)
     group = ShardedReplicaGroup(
         CentaurRunner(HARPV2_SYSTEM),

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config.models import DLRMConfig, EmbeddingTableConfig, MLPConfig, homogeneous_dlrm
 from repro.errors import ConfigurationError
+from repro.sharding import plan as plan_module
 from repro.sharding import (
     GreedyBalancedSharding,
     RowWiseHashSharding,
@@ -90,6 +92,104 @@ class TestRowWise:
     def test_shard_bytes_are_exact(self, model):
         plan = make_plan(model, 4, "row")
         assert sum(plan.shard_bytes) == pytest.approx(model.embedding_table_bytes)
+
+
+def tables_model(num_rows, dim=16):
+    """A model whose tables have the given row counts."""
+    tables = tuple(
+        EmbeddingTableConfig(num_rows=rows, embedding_dim=dim, gathers=2)
+        for rows in num_rows
+    )
+    interaction_dim = dim + (len(tables) + 1) * len(tables) // 2
+    return DLRMConfig(
+        name="sized",
+        tables=tables,
+        num_dense_features=13,
+        bottom_mlp=MLPConfig(layer_dims=(13, dim)),
+        top_mlp=MLPConfig(layer_dims=(interaction_dim, 1)),
+    )
+
+
+def recounted_shard_bytes(plan):
+    """shard_bytes the slow way: hash every row through owner_of."""
+    totals = np.zeros(plan.num_shards, dtype=np.float64)
+    for index, table in enumerate(plan.model.tables):
+        owners = plan.owner_of(index, np.arange(table.num_rows, dtype=np.int64))
+        totals += np.bincount(owners, minlength=plan.num_shards) * float(table.row_bytes)
+    return tuple(float(value) for value in totals)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(plan_module, "_ROW_COUNT_CACHE", {})
+
+
+class TestRowWiseMemo:
+    """Row-wise shard_bytes are hashed once per key, exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_rows=st.lists(st.integers(1, 5_000), min_size=1, max_size=4),
+        dim=st.sampled_from([8, 32]),
+        hash_seed=st.integers(0, 2**63 - 1),
+        num_shards=st.integers(1, 9),
+    )
+    def test_memoized_bytes_equal_a_full_recount(
+        self, num_rows, dim, hash_seed, num_shards
+    ):
+        model = tables_model(num_rows, dim)
+        plan = RowWiseHashSharding(hash_seed).build(model, num_shards)
+        assert plan.shard_bytes == recounted_shard_bytes(plan)
+        again = RowWiseHashSharding(hash_seed).build(model, num_shards)
+        assert again.shard_bytes == plan.shard_bytes
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 7])
+    @pytest.mark.parametrize("chunks", [0, 1, 2])
+    def test_chunk_boundaries(self, empty_memo, offset, chunks):
+        # Below one chunk, exactly whole chunks, and ragged tails.
+        rows = max(1, chunks * plan_module._HASH_CHUNK_ROWS + offset)
+        plan = RowWiseHashSharding(3).build(tables_model([rows, 5]), 4)
+        assert plan.shard_bytes == recounted_shard_bytes(plan)
+
+    def test_same_key_hashes_no_table_twice(self, empty_memo, monkeypatch):
+        hashed = []
+        original = plan_module._table_row_counts
+
+        def counting(table_index, num_rows, hash_seed, num_shards):
+            hashed.append(table_index)
+            return original(table_index, num_rows, hash_seed, num_shards)
+
+        monkeypatch.setattr(plan_module, "_table_row_counts", counting)
+        model = tables_model([3_000, 1_000, 2_000])
+        first = RowWiseHashSharding(2).build(model, 4).shard_bytes
+        assert hashed == [0, 1, 2]
+        # A fresh plan (and a different row width) reuses the row counts.
+        wider = tables_model([3_000, 1_000, 2_000], dim=32)
+        second = RowWiseHashSharding(2).build(model, 4).shard_bytes
+        RowWiseHashSharding(2).build(wider, 4).shard_bytes
+        assert hashed == [0, 1, 2]
+        assert second == first
+        # Any key component changing forces a rehash.
+        RowWiseHashSharding(3).build(model, 4).shard_bytes
+        RowWiseHashSharding(2).build(model, 5).shard_bytes
+        RowWiseHashSharding(2).build(tables_model([3_000, 1_000]), 4).shard_bytes
+        assert len(hashed) == 3 + 3 + 3 + 2
+
+    def test_memo_stays_at_its_cap(self, empty_memo):
+        cap = plan_module._ROW_COUNT_CACHE_CAP
+        model = tables_model([64, 32])
+        for hash_seed in range(cap + 5):
+            RowWiseHashSharding(hash_seed).build(model, 3).shard_bytes
+            assert len(plan_module._ROW_COUNT_CACHE) <= cap
+        assert len(plan_module._ROW_COUNT_CACHE) == cap
+        # FIFO: the oldest keys were evicted, the newest kept.
+        seeds = [key[1] for key in plan_module._ROW_COUNT_CACHE]
+        assert seeds == list(range(5, cap + 5))
+
+    def test_memoized_counts_are_read_only(self, empty_memo):
+        counts = plan_module._row_wise_counts([100, 200], 0, 4)
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
 
 
 class TestGreedy:

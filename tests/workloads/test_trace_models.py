@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config.models import EmbeddingTableConfig, homogeneous_dlrm
 from repro.errors import TraceError
@@ -136,3 +137,108 @@ class TestTraceHelpers:
         repeat = ModelTraceGenerator(WorkingSetTrace(0.05, 0.9), seed=3)
         again = repeat.model_batch(config, batch_size=4)
         assert np.array_equal(batch.sparse_traces[0].indices, again.sparse_traces[0].indices)
+
+
+def per_table_loop(model, seed, num_rows, counts):
+    rng = np.random.default_rng(seed)
+    return [
+        model.draw(rng, rows, count, index)
+        for index, (rows, count) in enumerate(zip(num_rows, counts))
+    ]
+
+
+def draw_tables(model, seed, num_rows, counts):
+    rng = np.random.default_rng(seed)
+    return model.draw_tables(rng, num_rows, counts, list(range(len(counts))))
+
+
+TRACE_MODELS = st.sampled_from(
+    [
+        ZipfianTrace(alpha=1.05),
+        ZipfianTrace(alpha=0.6, scatter_seed=3),
+        UniformTrace(),
+        WorkingSetTrace(),
+        PerTableTrace(UniformTrace(), {1: ZipfianTrace(alpha=1.3)}),
+    ]
+)
+COUNTS = st.lists(st.integers(0, 300), min_size=0, max_size=6)
+
+
+class TestDrawTables:
+    """One batched draw per batch must equal the per-table draw loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trace=TRACE_MODELS,
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5_000),
+        counts=COUNTS,
+    )
+    def test_equal_table_sizes_match_the_loop(self, trace, seed, rows, counts):
+        num_rows = [rows] * len(counts)
+        batched = draw_tables(trace, seed, num_rows, counts)
+        looped = per_table_loop(trace, seed, num_rows, counts)
+        assert len(batched) == len(looped)
+        for got, want in zip(batched, looped):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trace=TRACE_MODELS,
+        seed=st.integers(0, 2**32 - 1),
+        tables=st.lists(
+            st.tuples(st.integers(1, 5_000), st.integers(0, 300)), max_size=6
+        ),
+    )
+    def test_mixed_table_sizes_match_the_loop(self, trace, seed, tables):
+        num_rows = [rows for rows, _ in tables]
+        counts = [count for _, count in tables]
+        batched = draw_tables(trace, seed, num_rows, counts)
+        looped = per_table_loop(trace, seed, num_rows, counts)
+        assert len(batched) == len(looped)
+        for got, want in zip(batched, looped):
+            assert np.array_equal(got, want)
+
+    def test_rng_state_after_matches_the_loop(self):
+        # The next batch must see the same stream position either way.
+        zipf = ZipfianTrace()
+        batched_rng = np.random.default_rng(4)
+        looped_rng = np.random.default_rng(4)
+        zipf.draw_tables(batched_rng, [900] * 3, [5, 0, 7], [0, 1, 2])
+        for count in (5, 0, 7):
+            zipf.draw(looped_rng, 900, count)
+        assert batched_rng.random() == looped_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=COUNTS)
+    def test_generator_random_splits_exactly(self, seed, sizes):
+        whole = np.random.default_rng(seed).random(sum(sizes))
+        rng = np.random.default_rng(seed)
+        parts = [rng.random(size) for size in sizes]
+        joined = np.concatenate(parts) if parts else np.zeros(0)
+        assert np.array_equal(whole, joined)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5_000),
+        count=st.integers(0, 2_000),
+    )
+    def test_sorted_search_matches_the_unsorted_reference(self, alpha, seed, rows, count):
+        zipf = ZipfianTrace(alpha=alpha)
+        got = zipf.draw(np.random.default_rng(seed), rows, count)
+        uniform = np.random.default_rng(seed).random(count)
+        ranks = np.searchsorted(zipf._cdf(rows), uniform, side="left")
+        permutation = np.random.default_rng(zipf.scatter_seed ^ rows).permutation(rows)
+        assert np.array_equal(got, permutation[np.clip(ranks, 0, rows - 1)])
+
+    def test_sorted_search_handles_tied_uniforms(self):
+        class Repeating:
+            def random(self, count):
+                return np.tile([0.5, 0.01, 0.5, 0.99], count // 4)
+
+        zipf = ZipfianTrace()
+        got = zipf.draw(Repeating(), 1_000, 400)
+        assert np.array_equal(got, np.tile(got[:4], 100))
