@@ -142,7 +142,7 @@ from repro.workloads import (
     ZipfianTrace,
     poisson_workload,
 )
-from repro.analysis import DesignPointSweep, headline_summary
+from repro.analysis import headline_summary
 
 __all__ = [
     "__version__",
@@ -237,6 +237,5 @@ __all__ = [
     "TrafficMix",
     "Workload",
     "poisson_workload",
-    "DesignPointSweep",
     "headline_summary",
 ]

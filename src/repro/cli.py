@@ -265,7 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache=cache_config,
             batching=batching,
             system=HARPV2_SYSTEM,
-            queue=args.queue,
             profile=args.profile,
             updates=updates,
             shared_cache=shared_cache_config,
@@ -332,7 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             control_interval_s=args.control_interval,
             warmup_s=warmup,
             batching=batching,
-            queue=args.queue,
             profile=args.profile,
         )
         report = cluster.serve_workload(
@@ -365,7 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             initial_replicas=args.replicas,
             warmup_s=warmup,
             batching=batching,
-            queue=args.queue,
             profile=args.profile,
         )
         report = cluster.serve_workload(
@@ -378,9 +375,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         label = f"{backend.design_point} x{args.replicas} (chaos)"
         profiled = cluster
     elif args.replicas == 1:
-        simulator = ServingSimulator(
-            backend, model, batching=batching, queue=args.queue, profile=args.profile
-        )
+        simulator = ServingSimulator(backend, model, batching=batching, profile=args.profile)
         report = simulator.serve_workload(
             workload, duration_s=args.duration, num_requests=args.requests, seed=args.seed
         )
@@ -392,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             model,
             num_replicas=args.replicas,
             batching=batching,
-            queue=args.queue,
             profile=args.profile,
         )
         report = cluster.serve_workload(
@@ -663,12 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a per-event-label engine profile after the serving table",
-    )
-    serve_parser.add_argument(
-        "--queue",
-        choices=["auto", "heap", "calendar"],
-        default="auto",
-        help="event-queue implementation for the simulation engine",
     )
     serve_parser.add_argument(
         "--jobs",

@@ -222,15 +222,6 @@ class ExperimentResult:
             )
         return buffer.getvalue()
 
-    def to_sweep_result(self):
-        """Legacy view keyed by design-point label (``SweepResult``)."""
-        from repro.analysis.sweep import SweepResult
-
-        sweep = SweepResult()
-        for result in self._results.values():
-            sweep.add(result)
-        return sweep
-
 
 class Experiment:
     """Fluent builder for a (backends x models x batch sizes) grid.

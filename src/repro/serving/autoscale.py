@@ -61,7 +61,7 @@ from repro.serving.cluster import (
 )
 from repro.serving.dispatch import Dispatcher
 from repro.serving.replica import ReplicaServer, drive_stream
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.workloads.arrivals import InferenceRequest
 
 
@@ -439,7 +439,6 @@ class AutoscalingCluster(HeterogeneousCluster):
         dispatcher: Optional[Dispatcher] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if min_replicas <= 0:
@@ -473,7 +472,6 @@ class AutoscalingCluster(HeterogeneousCluster):
             dispatcher=dispatcher,
             batching=batching,
             system=system,
-            queue=queue,
             profile=profile,
         )
         self.policy = policy
@@ -526,7 +524,6 @@ class AutoscalingCluster(HeterogeneousCluster):
                 dispatcher=self.dispatcher,
                 batching=None,
                 system=None,
-                queue=self.queue,
                 profile=self.profile,
             )
             # Share the template's prediction cache so disabled and static
@@ -544,7 +541,7 @@ class AutoscalingCluster(HeterogeneousCluster):
             )
         else:
             iterator = iter(requests)
-        sim = Simulator(queue=self.queue, profile=self.profile)
+        sim = Simulator(profile=self.profile)
         replicas = self._build_replicas(sim, extra_models=extra_models)
         self.dispatcher.reset()
         if self.policy is not None:

@@ -40,7 +40,7 @@ from repro.serving.replica import (
     StreamOutcome,
     drive_stream,
 )
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 from repro.workloads.workload import Workload
@@ -183,8 +183,6 @@ class HeterogeneousCluster:
             defaults to a 2 ms window capped at 64.
         system: Hardware platform used to resolve backend names; required
             only when a spec names a backend instead of carrying a runner.
-        queue: Event-queue selector forwarded to the engine
-            (``"auto"``/``"heap"``/``"calendar"``, or a queue class).
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
     """
@@ -196,7 +194,6 @@ class HeterogeneousCluster:
         dispatcher: Optional[Dispatcher] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if not specs:
@@ -226,7 +223,6 @@ class HeterogeneousCluster:
         self._caches = {}
         for spec in self.specs:
             self._caches.setdefault(id(spec.runner), {})
-        self.queue = queue
         self.profile = profile
         #: Engine profile of the most recent :meth:`serve` call (``None``
         #: until the first profiled run).
@@ -345,7 +341,7 @@ class HeterogeneousCluster:
         """
         if isinstance(requests, Sequence) and not requests:
             raise SimulationError("cannot serve an empty request stream")
-        sim = Simulator(queue=self.queue, profile=self.profile)
+        sim = Simulator(profile=self.profile)
         replicas = self._build_replicas(sim, extra_models=extra_models)
         self.dispatcher.reset()
 
@@ -428,7 +424,6 @@ class ClusterSimulator(HeterogeneousCluster):
         batching: Optional[BatchingPolicy] = None,
         dispatcher: Optional[Dispatcher] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         if num_replicas <= 0:
@@ -445,7 +440,6 @@ class ClusterSimulator(HeterogeneousCluster):
             model,
             dispatcher=dispatcher,
             batching=batching,
-            queue=queue,
             profile=profile,
         )
         self.runner = runner

@@ -64,7 +64,7 @@ from repro.serving.replica import (
 )
 from repro.sharding.cache import CacheConfig, EmbeddingCache
 from repro.sharding.plan import ShardingPlan, ShardingStrategy, make_plan
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest
 from repro.workloads.traces import TraceModel, UniformTrace
@@ -690,7 +690,6 @@ class ShardedReplicaGroup:
         batching: Batching policy of the group's shared queue.
         system: Hardware platform — prices the cross-shard link and
             resolves backend names; defaults to the runner's own system.
-        queue: Event-queue selector forwarded to the engine.
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
         updates: Optional :class:`~repro.workloads.updates.UpdateProcess`;
@@ -713,7 +712,6 @@ class ShardedReplicaGroup:
         cache: Optional[CacheConfig] = None,
         batching: Optional[BatchingPolicy] = None,
         system: Optional[SystemConfig] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
         updates: Optional[UpdateProcess] = None,
         shared_cache: Optional[CacheConfig] = None,
@@ -760,7 +758,6 @@ class ShardedReplicaGroup:
                 "a shared cache tier needs a system configuration to price "
                 "its link fetches"
             )
-        self.queue = queue
         self.profile = profile
         #: Engine profile of the most recent serve (``None`` until the
         #: first profiled run).
@@ -803,7 +800,7 @@ class ShardedReplicaGroup:
         if isinstance(requests, Sequence) and not requests:
             raise SimulationError("cannot serve an empty request stream")
         chaos = faults is not None and not faults.empty
-        sim = Simulator(queue=self.queue, profile=self.profile)
+        sim = Simulator(profile=self.profile)
         service = ServiceModel(self.runner, self.model, self._service_cache)
         caches = None
         if self.cache_config is not None:

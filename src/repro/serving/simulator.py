@@ -36,7 +36,7 @@ from repro.serving.replica import (
     ServiceModel,
     drive_stream,
 )
-from repro.sim.engine import QueueSpec, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.profile import SimProfile
 from repro.workloads.arrivals import InferenceRequest, PoissonArrivals
 from repro.workloads.workload import Workload
@@ -51,8 +51,6 @@ class ServingSimulator:
         runner: A design-point runner (CPU-only, CPU-GPU or Centaur).
         model: Workload configuration served by the device.
         batching: Batching policy; defaults to a 2 ms window capped at 64.
-        queue: Event-queue selector forwarded to the engine
-            (``"auto"``/``"heap"``/``"calendar"``, an instance, or a class).
         profile: Record a per-event-label engine profile for every serve;
             the latest one is exposed as :attr:`last_profile`.
     """
@@ -62,13 +60,11 @@ class ServingSimulator:
         runner: DesignPointRunner,
         model: DLRMConfig,
         batching: Optional[BatchingPolicy] = None,
-        queue: QueueSpec = "auto",
         profile: bool = False,
     ):
         self.runner = runner
         self.model = model
         self.batching = batching if batching is not None else default_batching()
-        self.queue = queue
         self.profile = profile
         #: Engine profile of the most recent serve (``None`` until the first
         #: profiled run).
@@ -100,7 +96,7 @@ class ServingSimulator:
                 extra_models=extra_models,
             )
         )
-        sim = Simulator(queue=self.queue, profile=self.profile)
+        sim = Simulator(profile=self.profile)
         replica = ReplicaServer(
             sim,
             service,

@@ -13,9 +13,6 @@ first-class, composable object:
   blends served by one cluster).
 * :class:`Workload` — the three composed, with explicit seed-splitting; the
   unit that serving simulators, experiment grids and the CLI consume.
-
-The legacy entry points (``repro.dlrm.trace``, ``repro.serving.requests``)
-remain as deprecated shims re-exporting from here.
 """
 
 from repro.workloads.arrivals import (

@@ -22,8 +22,7 @@ Provided processes:
 * :class:`ReplayArrivals` — replay an explicit array of arrival timestamps
   (production traces, hand-built worst cases).
 
-:class:`PoissonRequestGenerator` is the legacy eager API, kept working (and
-re-exported through the deprecated :mod:`repro.serving.requests` shim); new
+:class:`PoissonRequestGenerator` is the older eager API, kept working; new
 code should compose an :class:`ArrivalProcess` into a
 :class:`repro.workloads.Workload`.
 """

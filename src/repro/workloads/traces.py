@@ -9,8 +9,7 @@ Two layers live here:
 
 * The **legacy generators** (:class:`TraceGenerator`,
   :class:`UniformTraceGenerator`, :class:`ZipfianTraceGenerator`) — stateful
-  objects moved unchanged from ``repro.dlrm.trace``; the shim there still
-  re-exports them.
+  objects that draw one batch of indices per call.
 * The **trace models** (:class:`TraceModel` and friends) — stateless
   index-distribution descriptions used by :class:`repro.workloads.Workload`.
   A model only knows how to draw row IDs given an RNG, which is what lets a
@@ -395,7 +394,7 @@ def model_batch(
 
 
 # ----------------------------------------------------------------------
-# Legacy stateful generators (moved verbatim from repro.dlrm.trace).
+# Legacy stateful generators.
 # ----------------------------------------------------------------------
 class TraceGenerator:
     """Base class for sparse-index trace generators.

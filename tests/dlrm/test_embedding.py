@@ -12,7 +12,7 @@ from repro.dlrm.embedding import (
     sparse_lengths_sum,
 )
 from repro.dlrm.reference import reference_sparse_lengths_sum
-from repro.dlrm.trace import SparseTrace, UniformTraceGenerator
+from repro.workloads import SparseTrace, UniformTraceGenerator
 from repro.errors import ModelShapeError, TraceError
 
 

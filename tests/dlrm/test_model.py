@@ -81,7 +81,7 @@ class TestDLRMForward:
         np.testing.assert_array_equal(first, second)
 
     def test_wrong_table_count_rejected(self, tiny_model, tiny_batch):
-        from repro.dlrm.trace import DLRMBatch
+        from repro.workloads import DLRMBatch
 
         truncated = DLRMBatch(
             dense_features=tiny_batch.dense_features,
@@ -91,7 +91,7 @@ class TestDLRMForward:
             tiny_model.forward(truncated)
 
     def test_wrong_dense_width_rejected(self, tiny_model, tiny_batch):
-        from repro.dlrm.trace import DLRMBatch
+        from repro.workloads import DLRMBatch
 
         bad = DLRMBatch(
             dense_features=tiny_batch.dense_features[:, :-1],
@@ -106,7 +106,7 @@ class TestDLRMForward:
         batch = generator.model_batch(tiny_config, 8)
         full = tiny_model.forward(batch).probabilities
 
-        from repro.dlrm.trace import DLRMBatch, SparseTrace
+        from repro.workloads import DLRMBatch, SparseTrace
 
         single_traces = []
         for trace in batch.sparse_traces:

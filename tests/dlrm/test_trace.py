@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.models import EmbeddingTableConfig
-from repro.dlrm.trace import (
+from repro.workloads import (
     DLRMBatch,
     SparseTrace,
     UniformTraceGenerator,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.sweep import DesignPointSweep
 from repro.config import DLRM1, DLRM3, HARPV2_SYSTEM, PAPER_BATCH_SIZES, PAPER_MODELS
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiment import Experiment, ResultCache, run_grid
@@ -30,6 +29,8 @@ class TestExperimentBuilder:
         experiment = Experiment(HARPV2_SYSTEM)
         assert experiment.grid_models == PAPER_MODELS
         assert experiment.grid_batch_sizes == PAPER_BATCH_SIZES
+        assert len(experiment.grid_models) == 6
+        assert experiment.grid_batch_sizes == (1, 4, 16, 32, 64, 128)
         assert set(experiment.backend_names) >= {"cpu", "cpu-gpu", "centaur"}
 
     def test_accepts_iterables_and_varargs(self):
@@ -43,6 +44,8 @@ class TestExperimentBuilder:
             Experiment(HARPV2_SYSTEM).backends()
         with pytest.raises(SimulationError):
             Experiment(HARPV2_SYSTEM).models()
+        with pytest.raises(SimulationError):
+            Experiment(HARPV2_SYSTEM).batch_sizes()
         with pytest.raises(SimulationError):
             Experiment(HARPV2_SYSTEM).batch_sizes(0)
         with pytest.raises(ConfigurationError):
@@ -124,11 +127,6 @@ class TestExperimentResultQueries:
         assert lines[0].startswith("backend,design_point,model,batch_size,latency_s")
         assert any(line.startswith("centaur,Centaur,DLRM(3),64") for line in lines)
 
-    def test_to_sweep_result_round_trip(self):
-        sweep = small_grid().to_sweep_result()
-        assert sweep.design_points() == ["CPU-only", "Centaur"]
-        assert sweep.get("Centaur", "DLRM(1)", 64).batch_size == 64
-
 
 class TestVariantSweep:
     def test_addresses_results_by_sweep_value(self):
@@ -155,39 +153,3 @@ class TestVariantSweep:
 
         with pytest.raises(SimulationError):
             VariantSweep(HARPV2_SYSTEM, ("cpu",), {}, (1,))
-
-
-class TestSweepCompatibility:
-    def test_design_point_sweep_matches_experiment(self):
-        sweep = DesignPointSweep(
-            HARPV2_SYSTEM, models=[DLRM1], batch_sizes=[1, 16]
-        ).run()
-        grid = (
-            Experiment(HARPV2_SYSTEM)
-            .backends("cpu", "cpu-gpu", "centaur")
-            .models(DLRM1)
-            .batch_sizes(1, 16)
-            .run()
-        )
-        for design_point, backend in (
-            ("CPU-only", "cpu"),
-            ("CPU-GPU", "cpu-gpu"),
-            ("Centaur", "centaur"),
-        ):
-            for batch in (1, 16):
-                legacy = sweep.get(design_point, "DLRM(1)", batch)
-                modern = grid.get(backend, "DLRM(1)", batch)
-                assert legacy.latency_seconds == modern.latency_seconds
-                assert legacy.energy_joules == modern.energy_joules
-
-    def test_design_point_sweep_accepts_registry_names(self):
-        sweep = DesignPointSweep(
-            HARPV2_SYSTEM,
-            models=[DLRM1],
-            batch_sizes=[4],
-            design_points=("cpu", "centaur"),
-        ).run()
-        assert sweep.design_points() == ["CPU-only", "Centaur"]
-        # Lookups accept the registry name the sweep was built with, too.
-        assert sweep.get("cpu", "DLRM(1)", 4) is sweep.get("CPU-only", "DLRM(1)", 4)
-        assert sweep.get("centaur", "DLRM(1)", 4).design_point == "Centaur"

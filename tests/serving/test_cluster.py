@@ -7,7 +7,7 @@ from repro.core import CentaurRunner
 from repro.cpu import CPUOnlyRunner
 from repro.errors import SimulationError
 from repro.serving import ClusterSimulator, TimeoutBatching
-from repro.serving.requests import InferenceRequest, PoissonRequestGenerator
+from repro.workloads import InferenceRequest, PoissonRequestGenerator
 
 
 BATCHING = TimeoutBatching(window_s=1e-3, max_batch_size=32)

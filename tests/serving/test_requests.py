@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.serving.requests import InferenceRequest, PoissonRequestGenerator
+from repro.workloads import InferenceRequest, PoissonRequestGenerator
 
 
 class TestInferenceRequest:

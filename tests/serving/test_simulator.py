@@ -12,7 +12,7 @@ from repro.serving import (
     ServingSimulator,
     TimeoutBatching,
 )
-from repro.serving.requests import InferenceRequest
+from repro.workloads import InferenceRequest
 
 
 def arrivals(times):

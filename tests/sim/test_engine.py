@@ -3,37 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventQueue, Simulator
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        assert queue.peek_time() == 1.0
-        queue.pop().callback()
-        queue.pop().callback()
-        assert fired == ["a", "b"]
-
-    def test_ties_break_by_insertion_order(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None, label="first")
-        second = queue.push(1.0, lambda: None, label="second")
-        assert queue.pop() is first
-        assert queue.pop() is second
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+from repro.sim.engine import Simulator
 
 
 class TestSimulator:
@@ -101,19 +71,6 @@ class TestSimulator:
         sim.schedule(0.0, reschedule)
         with pytest.raises(SimulationError):
             sim.run(max_events=1000)
-
-
-class TestStepping:
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1e-6, lambda: fired.append(1))
-        sim.schedule(2e-6, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
 
 
 class TestStop:

@@ -80,12 +80,6 @@ class TestSimulatorProfiling:
         assert sim.profile.total_events == sim.events_fired == 3
         assert sim.profile.get("arrival").seconds >= 0.0
 
-    def test_step_records_too(self):
-        sim = Simulator(profile=True)
-        sim.schedule(1e-6, lambda: None, label="stepped")
-        assert sim.step() is True
-        assert sim.profile.get("stepped").count == 1
-
 
 class TestRenderProfile:
     def test_renders_labels_counts_and_total(self):

@@ -1,39 +1,18 @@
-"""Heap vs calendar queue: interface, pooling, cancellation, equivalence.
-
-The contract under test: :class:`CalendarQueue` is observationally
-identical to the binary-heap :class:`EventQueue` — same ``(time,
-sequence)`` pop order (ties included), same validation errors, same
-pooling and compaction behaviour — so a simulation's outcome can never
-depend on which queue backs it.
-"""
+"""The event queue: ordering contract, pooling, cancellation, compaction."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import (
-    BaseEventQueue,
-    EventQueue,
-    Simulator,
-    make_event_queue,
-)
-
-QUEUE_FACTORIES = {
-    "heap": EventQueue,
-    "calendar": CalendarQueue,
-}
+from repro.sim.engine import EventQueue
 
 
-@pytest.fixture(params=sorted(QUEUE_FACTORIES))
-def queue(request):
-    return QUEUE_FACTORIES[request.param]()
+@pytest.fixture
+def queue():
+    return EventQueue()
 
 
-# ---------------------------------------------------------------------------
-# Shared interface contract, run against both implementations.
-# ---------------------------------------------------------------------------
 class TestQueueContract:
     def test_orders_by_time(self, queue):
         queue.push(3e-3, lambda: None, label="late")
@@ -41,6 +20,14 @@ class TestQueueContract:
         queue.push(2e-3, lambda: None, label="middle")
         assert queue.peek_time() == 1e-3
         assert [queue.pop().label for _ in range(3)] == ["early", "middle", "late"]
+
+    def test_popped_event_carries_its_callback(self, queue):
+        fired = []
+        queue.push(2.0, lambda: fired.append("b"))
+        queue.push(1.0, lambda: fired.append("a"))
+        queue.pop().callback()
+        queue.pop().callback()
+        assert fired == ["a", "b"]
 
     def test_ties_break_by_insertion_order(self, queue):
         labels = [f"tie{i}" for i in range(8)]
@@ -62,6 +49,9 @@ class TestQueueContract:
         assert queue.take() is None
         with pytest.raises(SimulationError, match="empty"):
             queue.pop()
+
+    def test_peek_empty_returns_none(self, queue):
+        assert queue.peek_time() is None
 
     def test_push_at_exactly_the_floor_is_allowed(self, queue):
         queue.push(1e-3, lambda: None)
@@ -85,15 +75,6 @@ class TestEventPooling:
         queue.pop()
         queue.release(event)
         assert event.callback is None
-
-    @pytest.mark.parametrize("kind", sorted(QUEUE_FACTORIES))
-    def test_pool_disabled_allocates_fresh_events(self, kind):
-        queue = QUEUE_FACTORIES[kind](pool=False)
-        first = queue.push(1e-3, lambda: None)
-        queue.pop()
-        queue.release(first)
-        second = queue.push(2e-3, lambda: None)
-        assert second is not first
 
 
 class TestCancellation:
@@ -134,61 +115,8 @@ class TestCancellation:
         assert queue.pop() is live
 
 
-class TestMakeEventQueue:
-    def test_auto_and_heap_select_the_heap(self):
-        assert make_event_queue("auto").kind == "heap"
-        assert make_event_queue(None).kind == "heap"
-        assert make_event_queue("heap").kind == "heap"
-
-    def test_calendar_by_name_class_and_instance(self):
-        assert make_event_queue("calendar").kind == "calendar"
-        assert make_event_queue(CalendarQueue).kind == "calendar"
-        instance = CalendarQueue(bucket_width=1e-3)
-        assert make_event_queue(instance) is instance
-
-    def test_pool_flag_is_forwarded(self):
-        assert make_event_queue("heap", pool=False)._free is None
-        assert make_event_queue("calendar", pool=True)._free == []
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(SimulationError, match="unknown event queue"):
-            make_event_queue("fibonacci")
-        with pytest.raises(SimulationError, match="unknown event queue"):
-            make_event_queue(42)
-
-    def test_simulator_accepts_queue_spec(self):
-        assert Simulator(queue="calendar").queue.kind == "calendar"
-        assert Simulator(queue="auto", event_pool=False).queue._free is None
-
-
-class TestCalendarInternals:
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(SimulationError, match="bucket_width"):
-            CalendarQueue(bucket_width=0.0)
-        with pytest.raises(SimulationError, match="num_buckets"):
-            CalendarQueue(num_buckets=0)
-
-    def test_grow_and_shrink_preserve_order(self):
-        queue = CalendarQueue(bucket_width=1e-5, num_buckets=4)
-        times = [((i * 7919) % 1000) * 1e-4 for i in range(500)]
-        for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while len(queue):
-            popped.append(queue.pop().time)
-        assert popped == sorted(times)
-
-    def test_sparse_jump_finds_distant_events(self):
-        # One event far beyond a full ring scan from the cursor.
-        queue = CalendarQueue(bucket_width=1e-6, num_buckets=4)
-        queue.push(10.0, lambda: None, label="far")
-        queue.push(1e-6, lambda: None, label="near")
-        assert queue.pop().label == "near"
-        assert queue.pop().label == "far"
-
-
 # ---------------------------------------------------------------------------
-# Property-based equivalence: both queues pop any schedule identically.
+# Property-based: any push/pop/cancel schedule pops in (time, sequence) order.
 # ---------------------------------------------------------------------------
 
 #: Times drawn from a tiny grid so ties are common, plus booleans choosing
@@ -203,7 +131,7 @@ _OPS = st.lists(
 )
 
 
-def _drive(queue: BaseEventQueue, ops) -> list:
+def _drive(queue: EventQueue, ops) -> list:
     """Apply an op sequence; return the observable trace."""
     trace = []
     pending = []
@@ -232,10 +160,14 @@ def _drive(queue: BaseEventQueue, ops) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(ops=_OPS)
-def test_heap_and_calendar_traces_are_identical(ops):
-    heap_trace = _drive(EventQueue(), ops)
-    calendar_trace = _drive(CalendarQueue(bucket_width=1e-4, num_buckets=4), ops)
-    assert heap_trace == calendar_trace
+def test_schedules_pop_in_order_and_keep_every_live_event(ops):
+    trace = _drive(EventQueue(), ops)
+    popped = [(entry[1], entry[2]) for entry in trace if entry[0] == "pop"]
+    assert popped == sorted(popped)
+    pushed = sum(1 for entry in trace if entry[0] == "push")
+    cancelled = sum(1 for entry in trace if entry[0] == "cancel")
+    live = [entry for entry in trace if entry[0] == "pop" and not entry[3]]
+    assert len(live) == pushed - cancelled
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,12 +178,9 @@ def test_heap_and_calendar_traces_are_identical(ops):
         max_size=200,
     )
 )
-def test_bulk_pop_order_matches_heap_with_arbitrary_floats(times):
-    heap, calendar = EventQueue(), CalendarQueue(bucket_width=1e-4, num_buckets=8)
+def test_bulk_pop_order_is_sorted_with_arbitrary_floats(times):
+    queue = EventQueue()
     for time in times:
-        heap.push(time, lambda: None)
-        calendar.push(time, lambda: None)
-    heap_order = [(e.time, e.sequence) for e in (heap.pop() for _ in times)]
-    calendar_order = [(e.time, e.sequence) for e in (calendar.pop() for _ in times)]
-    assert heap_order == calendar_order
-    assert heap_order == sorted(heap_order)
+        queue.push(time, lambda: None)
+    order = [(e.time, e.sequence) for e in (queue.pop() for _ in times)]
+    assert order == sorted(order)

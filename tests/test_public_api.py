@@ -1,5 +1,8 @@
 """Tests for the top-level public API surface."""
 
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -45,3 +48,19 @@ class TestPublicAPI:
             repro.HARPV2_SYSTEM, models=[repro.DLRM1], batch_sizes=[1, 16]
         )
         assert summary["centaur_speedup_max"] > 1.0
+
+    def test_package_imports_are_warning_free(self):
+        """`import repro` and its subpackages must not emit DeprecationWarning."""
+        subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::DeprecationWarning",
+                "-c",
+                "import repro, repro.serving, repro.dlrm, repro.workloads, "
+                "repro.experiment, repro.cli",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
